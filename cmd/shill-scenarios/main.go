@@ -7,7 +7,7 @@
 //
 //	shill-scenarios -list [-attr expr]
 //	shill-scenarios [-attr expr] [-mode all|ambient|sandboxed|oracle]
-//	                [-engine tree-walk|compiled] [-json file] [-v]
+//	                [-json file] [-v]
 //	shill-scenarios [flags] name...        # run exactly these scenarios
 //
 // Positional arguments select scenarios by exact name (replaying one
@@ -33,7 +33,6 @@ func main() {
 		list     = flag.Bool("list", false, "list selected scenarios and exit")
 		attr     = flag.String("attr", "", "attribute selection expression, e.g. 'sandbox && !slow'")
 		mode     = flag.String("mode", "all", "modes to run: all, ambient, sandboxed, oracle")
-		engine   = flag.String("engine", "tree-walk", "execution engine: tree-walk or compiled")
 		jsonPath = flag.String("json", "", "write the report as JSON to this file ('-' for stdout)")
 		verbose  = flag.Bool("v", false, "narrate per-scenario progress")
 	)
@@ -51,7 +50,7 @@ func main() {
 		return
 	}
 
-	opts := scenario.Options{Attr: *attr, Names: flag.Args()}
+	opts := scenario.Options{Attr: *attr, Names: flag.Args(), Engine: shill.EngineCompiled}
 	if len(opts.Names) > 0 && *attr != "" {
 		fatal(2, "positional scenario names and -attr are mutually exclusive")
 	}
@@ -65,14 +64,6 @@ func main() {
 		opts.Modes = []scenario.Mode{scenario.ModeOracle}
 	default:
 		fatal(2, "unknown -mode %q (want all, ambient, sandboxed, or oracle)", *mode)
-	}
-	switch *engine {
-	case "tree-walk", "":
-		opts.Engine = shill.EngineTreeWalk
-	case "compiled":
-		opts.Engine = shill.EngineCompiled
-	default:
-		fatal(2, "unknown -engine %q (want tree-walk or compiled)", *engine)
 	}
 	if *verbose {
 		opts.Logf = func(format string, args ...any) {

@@ -102,7 +102,7 @@ func main() {
 		opts.ScenarioPct = *scPct
 		opts.Scenario = func(ctx context.Context, i int64) (string, []string) {
 			sc := scs[int(i)%len(scs)]
-			res := scenario.RunScenario(ctx, sc, modes, shill.EngineTreeWalk)
+			res := scenario.RunScenario(ctx, sc, modes, shill.EngineCompiled)
 			var fails []string
 			for _, mr := range res.Modes {
 				if mr.Verdict == "failed" || mr.Verdict == "violation" {

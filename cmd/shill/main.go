@@ -45,7 +45,6 @@ func run(argv []string) int {
 	quiet := fs.Bool("quiet", false, "suppress the console dump after each script")
 	auditDump := fs.Bool("audit", false, "print each script's denial provenance to stderr")
 	timeout := fs.Duration("timeout", 0, "per-script wall-time limit (0 = none); a script over the limit is cancelled")
-	engineName := fs.String("engine", "tree-walk", "execution engine: tree-walk or compiled")
 	fs.Parse(argv)
 	if fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: shill [flags] script.ambient ...")
@@ -53,15 +52,9 @@ func run(argv []string) int {
 		return 2
 	}
 
-	engine, err := shill.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shill: %v\n", err)
-		return 2
-	}
 	m, err := shill.NewMachine(
 		shill.WithModule(!*noModule),
 		shill.WithWorkload(shill.Workload(*workload)),
-		shill.WithEngine(engine),
 	)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shill: %v\n", err)

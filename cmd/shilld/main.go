@@ -75,22 +75,14 @@ func run() int {
 	maxDeadline := flag.Duration("max-deadline", 60*time.Second, "clamp for client-requested deadlines")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight runs")
 	handoffGrace := flag.Duration("handoff-grace", 0, "how long a drain keeps serving admin snapshot exports so a router can pull tenant state off this replica (0 disables)")
-	engineName := flag.String("engine", "tree-walk", "execution engine for every tenant machine: tree-walk or compiled")
 	debugAddr := flag.String("debug-addr", "", "optional debug listener exposing net/http/pprof (e.g. localhost:6060)")
 	traceDisable := flag.Bool("trace-disable", false, "disable request tracing on every tenant machine")
 	golden := flag.String("golden", "", "path to a golden machine image; built from the configured workload and written there on first start if absent, then every new tenant boots from it")
 	flag.Parse()
 
-	engine, err := shill.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shilld: %v\n", err)
-		return 2
-	}
-
 	machineOptions := func(string) []shill.Option {
 		opts := []shill.Option{
 			shill.WithWorkload(shill.Workload(*workload)),
-			shill.WithEngine(engine),
 		}
 		if *traceDisable {
 			opts = append(opts, shill.WithTraceDisabled())
@@ -100,6 +92,7 @@ func run() int {
 
 	var goldenImg *shill.Image
 	if *golden != "" {
+		var err error
 		goldenImg, err = loadOrBuildGolden(*golden, machineOptions(""))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "shilld: golden image: %v\n", err)
@@ -133,8 +126,8 @@ func run() int {
 		}()
 		fmt.Fprintf(os.Stderr, "shilld: pprof on http://%s/debug/pprof/\n", *debugAddr)
 	}
-	fmt.Fprintf(os.Stderr, "shilld: listening on %s (workload=%s engine=%s machines<=%d concurrent<=%d)\n",
-		*addr, *workload, engine, *maxMachines, *maxConcurrent)
+	fmt.Fprintf(os.Stderr, "shilld: listening on %s (workload=%s machines<=%d concurrent<=%d)\n",
+		*addr, *workload, *maxMachines, *maxConcurrent)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

@@ -37,7 +37,10 @@
 //
 // Overhead is measured by BenchmarkParallelGrading's audit=true/false
 // dimension (acceptance: <5% scripts/sec; measured ≈0-2%) and
-// attributed in the Figure-10 breakdown via prof.AuditEmit.
+// attributed in the Figure-10 breakdown via prof.AuditEmit, one
+// category of the machine's single profile collector (Machine.Prof),
+// whose per-run delta is both Result.Prof and the run's aggregated
+// trace spans.
 //
 // The benchmarks in bench_test.go regenerate every figure of the
 // paper's evaluation:

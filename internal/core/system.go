@@ -17,7 +17,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/lang"
 	"repro/internal/netstack"
-	"repro/internal/prof"
 	"repro/internal/vfs"
 )
 
@@ -47,7 +46,6 @@ type System struct {
 	Runtime *kernel.Proc // uid 1001: the user's shell / SHILL runtime
 	RootSh  *kernel.Proc // uid 0: privileged helper (origin server, image tweaks)
 	Console *vfs.ConsoleDevice
-	Prof    *prof.Collector
 	Scripts lang.MapLoader
 
 	// ConsoleLimit echoes Config.ConsoleLimit so per-session console
@@ -75,7 +73,6 @@ func NewSystem(cfg Config) *System {
 	}
 	s := &System{
 		K:       k,
-		Prof:    prof.New(),
 		Console: vfs.NewConsoleDevice(),
 		Scripts: lang.MapLoader{},
 	}
@@ -111,7 +108,6 @@ func NewSystemFromBase(cfg Config, base *vfs.Layer) *System {
 	}
 	s := &System{
 		K:       k,
-		Prof:    prof.New(),
 		Console: vfs.NewConsoleDevice(),
 		Scripts: lang.MapLoader{},
 	}
@@ -176,7 +172,7 @@ func (s *System) Audit() *audit.Log { return s.K.Audit() }
 // FlushAuditProf attributes the audit subsystem's accumulated emission
 // time to the Prof collector's AuditEmit category. Figure-10 style
 // reports call it just before Prof.Report.
-func (s *System) FlushAuditProf() { s.K.Audit().FlushProf(s.Prof) }
+func (s *System) FlushAuditProf() { s.K.Audit().FlushProf(s.K.Prof) }
 
 // binImage renders an executable image for a registered binary.
 func binImage(name string) []byte {

@@ -26,7 +26,7 @@ import (
 	"repro/internal/errno"
 	"repro/internal/mac"
 	"repro/internal/netstack"
-	"repro/internal/trace"
+	"repro/internal/prof"
 	"repro/internal/vfs"
 )
 
@@ -68,10 +68,11 @@ type Kernel struct {
 	// for overhead comparisons.
 	aud *audit.Log
 
-	// Ops aggregates per-category kernel-op counts and sampled timings
-	// (vfs, netstack, policy checks) for the request-tracing layer; the
-	// per-run delta becomes the aggregated op spans in a request trace.
-	Ops *trace.OpStats
+	// Prof is the machine's one profile collector: vfs, netstack and
+	// policy checks count here, and so do sandboxes and interpreter
+	// startup. A run's delta is its Figure 10 profile and the aggregated
+	// spans of its trace.
+	Prof *prof.Collector
 
 	Policy *ShillPolicy // nil until InstallShillModule
 
@@ -135,9 +136,9 @@ func New() *Kernel {
 		cleanerCh:   make(chan *Session, 1024),
 		cleanerDone: make(chan struct{}),
 	}
-	k.Ops = trace.NewOpStats()
-	k.FS.SetOpStats(k.Ops)
-	k.Net.SetOpStats(k.Ops)
+	k.Prof = prof.New()
+	k.FS.SetProf(k.Prof)
+	k.Net.SetProf(k.Prof)
 	return k
 }
 
@@ -145,7 +146,7 @@ func New() *Kernel {
 // layer (machine restore). It must be called immediately after New,
 // before processes, policies, or binaries reference the old filesystem.
 func (k *Kernel) SetFS(fs *vfs.FS) {
-	fs.SetOpStats(k.Ops)
+	fs.SetProf(k.Prof)
 	k.FS = fs
 }
 

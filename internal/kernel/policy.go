@@ -9,7 +9,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/netstack"
 	"repro/internal/priv"
-	"repro/internal/trace"
+	"repro/internal/prof"
 	"repro/internal/vfs"
 )
 
@@ -394,7 +394,7 @@ func (pol *ShillPolicy) VnodeCheck(cred *mac.Cred, vn mac.Labeled, op mac.VnodeO
 		return nil
 	}
 	pol.checks.Add(1)
-	defer pol.k.Ops.End(trace.OpPolicy, pol.k.Ops.Begin(trace.OpPolicy))
+	defer pol.k.Prof.End(prof.Policy, pol.k.Prof.Begin(prof.Policy))
 	need, ok := requiredVnodeRights[op]
 	if !ok {
 		return pol.deny(s, vn, op.String(), 0, nil)
@@ -489,7 +489,7 @@ func (pol *ShillPolicy) PipeCheck(cred *mac.Cred, p mac.Labeled, op mac.PipeOp) 
 		return nil
 	}
 	pol.checks.Add(1)
-	defer pol.k.Ops.End(trace.OpPolicy, pol.k.Ops.Begin(trace.OpPolicy))
+	defer pol.k.Prof.End(prof.Policy, pol.k.Prof.Begin(prof.Policy))
 	var need priv.Set
 	switch op {
 	case mac.OpPipeRead:
@@ -517,7 +517,7 @@ func (pol *ShillPolicy) SocketCheck(cred *mac.Cred, so mac.Labeled, op mac.Socke
 		return nil
 	}
 	pol.checks.Add(1)
-	defer pol.k.Ops.End(trace.OpPolicy, pol.k.Ops.Begin(trace.OpPolicy))
+	defer pol.k.Prof.End(prof.Policy, pol.k.Prof.Begin(prof.Policy))
 	r := requiredSockRights[op]
 	if op == mac.OpSockCreate {
 		sock, ok := so.(*netstack.Socket)
@@ -571,7 +571,7 @@ func (pol *ShillPolicy) ProcCheck(cred, target *mac.Cred, op mac.ProcOp) error {
 		return nil
 	}
 	pol.checks.Add(1)
-	defer pol.k.Ops.End(trace.OpPolicy, pol.k.Ops.Begin(trace.OpPolicy))
+	defer pol.k.Prof.End(prof.Policy, pol.k.Prof.Begin(prof.Policy))
 	t := sessionOf(target)
 	if t != nil && t.isDescendantOf(s) {
 		pol.allow(s, op.String(), "process")
@@ -605,7 +605,7 @@ func (pol *ShillPolicy) SystemCheck(cred *mac.Cred, op mac.SystemOp, name string
 		return nil
 	}
 	pol.checks.Add(1)
-	defer pol.k.Ops.End(trace.OpPolicy, pol.k.Ops.Begin(trace.OpPolicy))
+	defer pol.k.Prof.End(prof.Policy, pol.k.Prof.Begin(prof.Policy))
 	if op == mac.OpSysctlRead {
 		pol.allow(s, op.String(), name)
 		return nil

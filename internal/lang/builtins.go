@@ -493,7 +493,7 @@ func (it *Interp) execBuiltin(args []Value, named map[string]Value) (Value, erro
 			return nil, fmt.Errorf("exec arguments must be strings or capabilities, got %s", FormatValue(a))
 		}
 	}
-	opts := sandbox.Options{Prof: it.Prof, Trace: it.Trace, TraceParent: it.TraceParent}
+	opts := sandbox.Options{Trace: it.Trace, TraceParent: it.TraceParent}
 	capOpt := func(key string) (*cap.Capability, error) {
 		v, ok := named[key]
 		if !ok || v == nil {

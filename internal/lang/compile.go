@@ -42,17 +42,6 @@ func (e Engine) String() string {
 	return "unknown"
 }
 
-// ParseEngine parses an -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "tree-walk", "treewalk", "tw":
-		return EngineTreeWalk, nil
-	case "compiled", "compile", "vm":
-		return EngineCompiled, nil
-	}
-	return 0, fmt.Errorf(`lang: unknown engine %q (want "tree-walk" or "compiled")`, s)
-}
-
 // SetEngine selects the execution path for subsequent RunAmbient and
 // LoadModule calls.
 func (it *Interp) SetEngine(e Engine) { it.engine = e }
@@ -131,14 +120,30 @@ func (it *Interp) compileSource(src string) (*CompiledProgram, bool, error) {
 
 // --- compile cache ---
 
+// CompileCacheLimit is the most programs a CompileCache holds, however
+// many distinct sources a long-lived machine sees (shilld splices each
+// request's args into the source text, so every distinct arg vector is
+// a new source). The cache keeps two generations of half that size.
+const (
+	CompileCacheLimit = 512
+	compileCacheGen   = CompileCacheLimit / 2
+)
+
 // CompileCache memoizes compiled programs by content hash. It is safe
 // for concurrent use; keying by the script text itself (not its name)
 // means a tenant updating a script under the same name can never
 // execute a stale compilation.
+//
+// The cache is bounded. New entries go into the current generation; a
+// hit in the previous generation moves the entry forward; when the
+// current generation is full it becomes the previous one and the old
+// previous generation is dropped. Scripts in steady use therefore stay
+// cached while one-off sources age out.
 type CompileCache struct {
-	entries sync.Map // [32]byte → *cacheEntry
-	hits    atomic.Uint64
-	misses  atomic.Uint64
+	mu       sync.Mutex
+	cur, old map[[32]byte]*cacheEntry
+	hits     atomic.Uint64
+	misses   atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -158,19 +163,59 @@ func (c *CompileCache) Get(src string) (*CompiledProgram, error) {
 }
 
 // get is Get plus a hit report, so the tracing layer can label the
-// compile span hit/miss without racing on the global counters.
+// compile span hit/miss without racing on the global counters. The
+// compile itself runs outside the lock; when two callers miss on the
+// same source at once, the first to store wins and both return it.
 func (c *CompileCache) get(src string) (*CompiledProgram, bool, error) {
 	key := sha256.Sum256([]byte(src))
-	if v, ok := c.entries.Load(key); ok {
+	c.mu.Lock()
+	e := c.lookup(key)
+	c.mu.Unlock()
+	if e != nil {
 		c.hits.Add(1)
-		e := v.(*cacheEntry)
 		return e.prog, true, e.err
 	}
 	c.misses.Add(1)
 	prog, err := Compile(src)
-	v, _ := c.entries.LoadOrStore(key, &cacheEntry{prog: prog, err: err})
-	e := v.(*cacheEntry)
+	c.mu.Lock()
+	if e = c.lookup(key); e == nil {
+		e = &cacheEntry{prog: prog, err: err}
+		c.store(key, e)
+	}
+	c.mu.Unlock()
 	return e.prog, false, e.err
+}
+
+// lookup finds key in either generation, moving a previous-generation
+// entry into the current one. c.mu must be held.
+func (c *CompileCache) lookup(key [32]byte) *cacheEntry {
+	if e, ok := c.cur[key]; ok {
+		return e
+	}
+	e, ok := c.old[key]
+	if !ok {
+		return nil
+	}
+	delete(c.old, key)
+	c.store(key, e)
+	return e
+}
+
+// store adds an entry to the current generation, first retiring it
+// when full. c.mu must be held.
+func (c *CompileCache) store(key [32]byte, e *cacheEntry) {
+	if c.cur == nil || len(c.cur) >= compileCacheGen {
+		c.old, c.cur = c.cur, map[[32]byte]*cacheEntry{}
+	}
+	c.cur[key] = e
+}
+
+// Len reports how many compiled programs the cache holds; it never
+// exceeds CompileCacheLimit.
+func (c *CompileCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.cur) + len(c.old)
 }
 
 // Stats reports cache hits and misses.

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/lang"
-	"repro/internal/prof"
 )
 
 const profWorkCap = `#lang shill/cap
@@ -47,7 +46,7 @@ func BenchmarkEngineWork(b *testing.B) {
 			loader := lang.MapLoader{"w.cap": profWorkCap}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				it := lang.NewInterp(proc, loader, prof.New())
+				it := lang.NewInterp(proc, loader)
 				it.SetEngine(eng)
 				it.CompileCache = cache
 				if err := it.RunAmbient("w.ambient", profWorkAmbient); err != nil {

@@ -24,7 +24,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/lang"
 	"repro/internal/priv"
-	"repro/internal/prof"
 	"repro/internal/vfs"
 )
 
@@ -81,7 +80,7 @@ type engineOutcome struct {
 func runOnEngine(t *testing.T, src string, engine lang.Engine) engineOutcome {
 	t.Helper()
 	k, proc := diffWorld(t)
-	it := lang.NewInterp(proc, lang.MapLoader{"m.cap": src, "self.cap": src}, prof.New())
+	it := lang.NewInterp(proc, lang.MapLoader{"m.cap": src, "self.cap": src})
 	it.SetEngine(engine)
 
 	script, err := lang.Parse(src)

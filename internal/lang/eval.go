@@ -45,7 +45,6 @@ type Module struct {
 type Interp struct {
 	Runtime *kernel.Proc
 	Loader  Loader
-	Prof    *prof.Collector
 
 	// ConsolePath is the device the ambient stdin/stdout/stderr
 	// builtins bind to ("" means /dev/console). Parallel session
@@ -118,18 +117,17 @@ func (it *Interp) checkCancel() error {
 }
 
 // NewInterp builds an interpreter. Construction cost is attributed to
-// prof.Startup — the analogue of the paper's "Racket startup" row in
+// prof.Startup in the runtime kernel's collector — the analogue of the paper's "Racket startup" row in
 // Figure 10.
-func NewInterp(runtime *kernel.Proc, loader Loader, collector *prof.Collector) *Interp {
+func NewInterp(runtime *kernel.Proc, loader Loader) *Interp {
 	start := time.Now()
 	it := &Interp{
 		Runtime: runtime,
 		Loader:  loader,
-		Prof:    collector,
 		modules: make(map[string]*Module),
 	}
 	it.globals = it.coreEnv()
-	collector.Add(prof.Startup, time.Since(start))
+	runtime.Kernel().Prof.Add(prof.Startup, time.Since(start))
 	return it
 }
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/lang"
 	"repro/internal/priv"
-	"repro/internal/prof"
 	"repro/internal/vfs"
 )
 
@@ -168,7 +167,7 @@ func FuzzEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		k, proc, scratch := fuzzWorld(t)
 		before := snapshotOutside(k)
-		it := lang.NewInterp(proc, lang.MapLoader{"fuzz.cap": src}, prof.New())
+		it := lang.NewInterp(proc, lang.MapLoader{"fuzz.cap": src})
 		m, err := it.LoadModule("fuzz.cap", true)
 		if err == nil {
 			dcap := cap.NewForVnode(proc, scratch, priv.FullGrant())

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
-	"repro/internal/prof"
 )
 
 // --- lexer ---
@@ -156,7 +155,7 @@ func testInterp(t *testing.T, scripts MapLoader) *Interp {
 	if scripts == nil {
 		scripts = MapLoader{}
 	}
-	return NewInterp(p, scripts, prof.New())
+	return NewInterp(p, scripts)
 }
 
 // evalInModule runs statements in a cap module and returns the exported

@@ -527,7 +527,7 @@ func runLdd(it *Interp, w *wallet.Wallet, exe *cap.Capability) ([]string, error)
 	// counts for pkg-native itself.
 	res, execErr := sandbox.Exec(it.Runtime, lddExe,
 		[]sandbox.Arg{sandbox.CapArg(exe)},
-		sandbox.Options{Stdout: wEnd, Extras: extras, Prof: it.Prof})
+		sandbox.Options{Stdout: wEnd, Extras: extras, Trace: it.Trace, TraceParent: it.TraceParent})
 	wEnd.Close()
 	if err := <-done; err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/errno"
 	"repro/internal/mac"
-	"repro/internal/trace"
+	"repro/internal/prof"
 )
 
 // interrupted reports whether an interrupt channel has fired. A nil
@@ -227,17 +227,17 @@ type Stack struct {
 	// the map.
 	ready map[string]*listenWaiter
 
-	// ops, when set, aggregates per-operation counts and sampled timings
-	// under trace.OpNet for the request-tracing layer. Sampled spans that
-	// land on a parked Accept/Recv inherit the park time — the standard
-	// sampling-profiler caveat, accepted rather than special-cased.
-	ops *trace.OpStats
+	// prof, when set, counts every operation and times a sample of them
+	// under prof.Net. A sampled operation that lands on a parked
+	// Accept/Recv inherits the park time — the standard sampling-profiler
+	// caveat, accepted rather than special-cased.
+	prof *prof.Collector
 }
 
-// SetOpStats attaches aggregated-op accounting (trace.OpNet). Set it
+// SetProf attaches the machine's profile collector (prof.Net). Set it
 // before the stack is shared across goroutines; the kernel wires it at
 // construction.
-func (st *Stack) SetOpStats(o *trace.OpStats) { st.ops = o }
+func (st *Stack) SetProf(c *prof.Collector) { st.prof = c }
 
 // listenWaiter is one address's readiness broadcast.
 type listenWaiter struct {
@@ -312,7 +312,7 @@ func (st *Stack) Shutdown() {
 // NewSocket creates an unbound socket. The kernel performs the MAC
 // sock-create check before calling this.
 func (st *Stack) NewSocket(d Domain) *Socket {
-	defer st.ops.End(trace.OpNet, st.ops.Begin(trace.OpNet))
+	defer st.prof.End(prof.Net, st.prof.Begin(prof.Net))
 	s := &Socket{stack: st, domain: d, state: StateNew}
 	s.cond = sync.NewCond(&s.mu)
 	st.register(s)
@@ -326,7 +326,7 @@ func key(d Domain, addr string) string { return d.String() + "!" + addr }
 // the constraint behind the paper's privilege-amplification socket
 // example (§3.2.2).
 func (st *Stack) Bind(s *Socket, addr string) error {
-	defer st.ops.End(trace.OpNet, st.ops.Begin(trace.OpNet))
+	defer st.prof.End(prof.Net, st.prof.Begin(prof.Net))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != StateNew {
@@ -350,7 +350,7 @@ func (st *Stack) Bind(s *Socket, addr string) error {
 // Listen marks a bound socket as accepting connections and wakes every
 // WaitListener waiter parked on its address.
 func (st *Stack) Listen(s *Socket) error {
-	defer st.ops.End(trace.OpNet, st.ops.Begin(trace.OpNet))
+	defer st.prof.End(prof.Net, st.prof.Begin(prof.Net))
 	s.mu.Lock()
 	if s.state != StateBound {
 		s.mu.Unlock()
@@ -430,7 +430,7 @@ func (st *Stack) WaitListener(d Domain, addr string, timeout time.Duration, intr
 // Connect dials the listener bound at addr in the socket's domain and
 // blocks until the connection is accepted or refused.
 func (st *Stack) Connect(s *Socket, addr string) error {
-	defer st.ops.End(trace.OpNet, st.ops.Begin(trace.OpNet))
+	defer st.prof.End(prof.Net, st.prof.Begin(prof.Net))
 	s.mu.Lock()
 	if s.state != StateNew {
 		s.mu.Unlock()
@@ -481,7 +481,7 @@ func (st *Stack) Accept(l *Socket) (*Socket, error) {
 // a context cancellation stop a script blocked in socket_accept without
 // tearing the listener down.
 func (st *Stack) AcceptIntr(l *Socket, intr <-chan struct{}) (*Socket, error) {
-	defer st.ops.End(trace.OpNet, st.ops.Begin(trace.OpNet))
+	defer st.prof.End(prof.Net, st.prof.Begin(prof.Net))
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var stop chan struct{}
@@ -520,7 +520,7 @@ func (st *Stack) Send(s *Socket, p []byte) (int, error) {
 // parked on a full buffer returns EINTR with the partial count when intr
 // fires.
 func (st *Stack) SendIntr(s *Socket, p []byte, intr <-chan struct{}) (int, error) {
-	defer st.ops.End(trace.OpNet, st.ops.Begin(trace.OpNet))
+	defer st.prof.End(prof.Net, st.prof.Begin(prof.Net))
 	s.mu.Lock()
 	tx := s.tx
 	state := s.state
@@ -539,7 +539,7 @@ func (st *Stack) Recv(s *Socket, p []byte) (int, error) {
 // RecvIntr is Recv with an interrupt channel (see AcceptIntr): a reader
 // parked on an empty buffer returns EINTR when intr fires.
 func (st *Stack) RecvIntr(s *Socket, p []byte, intr <-chan struct{}) (int, error) {
-	defer st.ops.End(trace.OpNet, st.ops.Begin(trace.OpNet))
+	defer st.prof.End(prof.Net, st.prof.Begin(prof.Net))
 	s.mu.Lock()
 	rx := s.rx
 	state := s.state
@@ -553,7 +553,7 @@ func (st *Stack) RecvIntr(s *Socket, p []byte, intr <-chan struct{}) (int, error
 // Close shuts the socket down: listeners are unbound (waking blocked
 // accepts) and connections close both directions.
 func (st *Stack) Close(s *Socket) {
-	defer st.ops.End(trace.OpNet, st.ops.Begin(trace.OpNet))
+	defer st.prof.End(prof.Net, st.prof.Begin(prof.Net))
 	s.mu.Lock()
 	prev := s.state
 	s.state = StateClosed

@@ -1,26 +1,32 @@
-// Package prof is the lightweight instrumentation behind the Figure 10
-// performance breakdown: total execution time, runtime startup, sandbox
-// setup, sandboxed execution, and remaining time (contract checking and
-// script evaluation).
+// Package prof is the machine-wide profile behind the Figure 10
+// performance breakdown (total execution time, runtime startup, sandbox
+// setup, sandboxed execution, and remaining time) and behind the
+// aggregated kernel-op spans of a request trace (vfs, netstack, MAC
+// policy). One Collector per machine holds every category; a run's
+// profile is the Delta of two Snapshots.
 package prof
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Category labels one row of the Figure 10 breakdown.
+// Category labels one accumulated row: the five Figure 10 rows first,
+// then the kernel-op categories.
 type Category int
 
-// Breakdown categories.
+// Profile categories.
 const (
 	Startup Category = iota // interpreter startup (Racket startup in the paper)
 	SandboxSetup
 	SandboxExec
 	ContractCheck // attributed within "remaining time" in the paper
 	AuditEmit     // time spent recording audit events (internal/audit)
-	numCategories
+	VFS           // filesystem namespace and data operations (sampled)
+	Net           // netstack socket operations (sampled)
+	Policy        // MAC policy checks (sampled)
+	NumCategories
 )
 
 func (c Category) String() string {
@@ -35,31 +41,69 @@ func (c Category) String() string {
 		return "contract checking"
 	case AuditEmit:
 		return "audit emission"
+	case VFS:
+		return "vfs operations"
+	case Net:
+		return "netstack operations"
+	case Policy:
+		return "policy checks"
 	}
 	return fmt.Sprintf("category(%d)", int(c))
 }
 
-// Collector accumulates duration per category plus event counts. A nil
-// *Collector is valid and records nothing, so instrumented code can stay
-// unconditional.
+// timingSample is the 1-in-N rate at which Begin times an operation.
+// Sampled durations are scaled by the same factor, so totals are
+// statistically unbiased; a single sampled operation that blocks (a
+// parked socket read) is over-weighted by the scale factor, which
+// averages out over many operations but makes any one small window
+// noisy — the same caveat as every sampling profiler.
+const timingSample = 64
+
+// Collector accumulates an event count and nanoseconds per category:
+// two atomics each, no locks. A nil *Collector is valid and records
+// nothing, so instrumented code can stay unconditional.
 type Collector struct {
-	mu     sync.Mutex
-	totals [numCategories]time.Duration
-	counts [numCategories]int64
+	counts [NumCategories]atomic.Int64
+	nanos  [NumCategories]atomic.Int64
 }
 
 // New returns an empty collector.
 func New() *Collector { return &Collector{} }
 
-// Add records a duration in a category.
+// Add records one event and its duration: the coarse, always-timed
+// path (interpreter startup, sandbox setup and execution, audit
+// emission).
 func (c *Collector) Add(cat Category, d time.Duration) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	c.totals[cat] += d
-	c.counts[cat]++
-	c.mu.Unlock()
+	c.counts[cat].Add(1)
+	c.nanos[cat].Add(int64(d))
+}
+
+// Begin counts one operation and, for the sampled 1-in-N operation,
+// returns a non-zero start timestamp to pass to End: the path for
+// operations far too frequent to time individually (vfs, netstack,
+// policy checks).
+func (c *Collector) Begin(cat Category) int64 {
+	if c == nil {
+		return 0
+	}
+	if c.counts[cat].Add(1)%timingSample != 0 {
+		return 0
+	}
+	return time.Now().UnixNano()
+}
+
+// End records a sampled operation's duration, scaled back up to
+// estimate the category total.
+func (c *Collector) End(cat Category, startNanos int64) {
+	if c == nil || startNanos == 0 {
+		return
+	}
+	if d := time.Now().UnixNano() - startNanos; d > 0 {
+		c.nanos[cat].Add(d * timingSample)
+	}
 }
 
 // Total returns the accumulated duration for a category.
@@ -67,9 +111,7 @@ func (c *Collector) Total(cat Category) time.Duration {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totals[cat]
+	return time.Duration(c.nanos[cat].Load())
 }
 
 // Count returns how many events were recorded in a category. The
@@ -79,9 +121,7 @@ func (c *Collector) Count(cat Category) int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[cat]
+	return c.counts[cat].Load()
 }
 
 // Sample is one category's accumulated duration and event count — the
@@ -92,40 +132,30 @@ type Sample struct {
 	Count    int64         `json:"count"`
 }
 
-// Samples snapshots every category, in category order (including zero
-// rows, so two snapshots subtract positionally).
-func (c *Collector) Samples() []Sample {
-	out := make([]Sample, numCategories)
-	if c == nil {
-		for i := range out {
-			out[i].Category = Category(i)
-		}
-		return out
+// Snapshot is a point-in-time copy of every category, indexed by
+// Category.
+type Snapshot [NumCategories]Sample
+
+// Snapshot copies the counters. Nil-safe (zero totals).
+func (c *Collector) Snapshot() Snapshot {
+	var s Snapshot
+	for i := range s {
+		s[i] = Sample{Category: Category(i), Total: c.Total(Category(i)), Count: c.Count(Category(i))}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range out {
-		out[i] = Sample{Category: Category(i), Total: c.totals[i], Count: c.counts[i]}
-	}
-	return out
+	return s
 }
 
-// SamplesSince subtracts an earlier snapshot from a later one and keeps
-// the categories that advanced — the profile of just the work between
-// the two snapshots.
-func SamplesSince(before, after []Sample) []Sample {
-	var out []Sample
-	for i := range after {
-		s := after[i]
-		if i < len(before) {
-			s.Total -= before[i].Total
-			s.Count -= before[i].Count
-		}
-		if s.Total != 0 || s.Count != 0 {
-			out = append(out, s)
-		}
+// Delta returns s minus before, clamped at zero: the profile of just
+// the work between the two snapshots. As with any windowed attribution
+// over machine-wide counters, concurrent sessions on one machine bleed
+// into each other's windows; a Reset inside the window clamps to zero
+// rather than going negative.
+func (s Snapshot) Delta(before Snapshot) Snapshot {
+	for i := range s {
+		s[i].Total = max(s[i].Total-before[i].Total, 0)
+		s[i].Count = max(s[i].Count-before[i].Count, 0)
 	}
-	return out
+	return s
 }
 
 // Reset zeroes the collector.
@@ -133,11 +163,9 @@ func (c *Collector) Reset() {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.totals {
-		c.totals[i] = 0
-		c.counts[i] = 0
+	for i := range c.counts {
+		c.counts[i].Store(0)
+		c.nanos[i].Store(0)
 	}
 }
 

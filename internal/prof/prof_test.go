@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -29,6 +30,12 @@ func TestNilCollectorIsSafe(t *testing.T) {
 		t.Fatal("nil collector returned data")
 	}
 	c.Reset()
+	c.End(VFS, c.Begin(VFS))
+	for _, s := range c.Snapshot() {
+		if s.Count != 0 || s.Total != 0 {
+			t.Fatalf("nil collector snapshot row %+v", s)
+		}
+	}
 }
 
 func TestReportBreakdown(t *testing.T) {
@@ -54,8 +61,8 @@ func TestReportBreakdown(t *testing.T) {
 }
 
 func TestCategoryNames(t *testing.T) {
-	for _, c := range []Category{Startup, SandboxSetup, SandboxExec, ContractCheck, AuditEmit} {
-		if c.String() == "" {
+	for c := Category(0); c < NumCategories; c++ {
+		if strings.HasPrefix(c.String(), "category(") {
 			t.Fatalf("category %d has no name", c)
 		}
 	}
@@ -78,5 +85,62 @@ func TestAuditEmitBreakdown(t *testing.T) {
 	}
 	if got := c.Total(AuditEmit); got != 50*time.Millisecond {
 		t.Fatalf("Total(AuditEmit) = %v", got)
+	}
+}
+
+func TestSampledBeginEnd(t *testing.T) {
+	c := New()
+	before := c.Snapshot()
+	for i := 0; i < 2*timingSample; i++ {
+		c.End(VFS, c.Begin(VFS))
+	}
+	c.End(Net, c.Begin(Net))
+	delta := c.Snapshot().Delta(before)
+	if delta[VFS].Count != 2*timingSample {
+		t.Fatalf("vfs count = %d, want %d", delta[VFS].Count, 2*timingSample)
+	}
+	if delta[Net].Count != 1 || delta[Policy].Count != 0 {
+		t.Fatalf("net/policy counts = %d/%d", delta[Net].Count, delta[Policy].Count)
+	}
+	if delta[VFS].Category != VFS {
+		t.Fatalf("delta row %d carries category %v", VFS, delta[VFS].Category)
+	}
+}
+
+// TestDeltaClampsAtZero: a Reset inside a run's window must leave the
+// run's profile empty, not negative.
+func TestDeltaClampsAtZero(t *testing.T) {
+	c := New()
+	c.Add(SandboxSetup, time.Millisecond)
+	c.End(Policy, c.Begin(Policy))
+	before := c.Snapshot()
+	c.Reset()
+	c.Add(Startup, time.Microsecond)
+	delta := c.Snapshot().Delta(before)
+	for _, s := range delta {
+		if s.Count < 0 || s.Total < 0 {
+			t.Fatalf("negative delta row %+v", s)
+		}
+	}
+	if delta[Startup].Count != 1 || delta[Startup].Total != time.Microsecond {
+		t.Fatalf("startup row = %+v", delta[Startup])
+	}
+}
+
+// TestHotPathAllocs: every vfs, policy and sandbox operation goes
+// through these calls, so none of them may allocate.
+func TestHotPathAllocs(t *testing.T) {
+	c := New()
+	before := c.Snapshot()
+	var sink Snapshot
+	for name, f := range map[string]func(){
+		"Add":       func() { c.Add(SandboxSetup, time.Microsecond) },
+		"Begin/End": func() { c.End(VFS, c.Begin(VFS)) },
+		"Snapshot":  func() { sink = c.Snapshot() },
+		"Delta":     func() { sink = sink.Delta(before) },
+	} {
+		if n := testing.AllocsPerRun(1000, f); n != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, n)
+		}
 	}
 }

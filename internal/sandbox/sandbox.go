@@ -57,12 +57,9 @@ type Options struct {
 	Debug bool
 	// Logging records grants and denials without auto-granting.
 	Logging bool
-	// Prof, when non-nil, receives sandbox setup/execution timings for
-	// the Figure 10 breakdown.
-	Prof *prof.Collector
 	// Trace, when non-nil, receives sandbox-setup and sandbox-exec spans
 	// (children of TraceParent) so a request trace decomposes each exec
-	// the same way Prof decomposes the whole run.
+	// the same way the kernel's profile decomposes the whole run.
 	Trace       *trace.Ref
 	TraceParent uint64
 }
@@ -181,7 +178,7 @@ func Exec(runtime *kernel.Proc, exe *cap.Capability, args []Arg, opts Options) (
 	if err := child.ShillEnter(); err != nil {
 		return fail(err)
 	}
-	opts.Prof.Add(prof.SandboxSetup, time.Since(setupStart))
+	runtime.Kernel().Prof.Add(prof.SandboxSetup, time.Since(setupStart))
 	opts.Trace.Add(trace.Span{
 		Parent: opts.TraceParent, Kind: trace.KindSandboxSetup,
 		Name: "sandbox-setup", Start: setupStart, Dur: time.Since(setupStart),
@@ -214,7 +211,7 @@ func Exec(runtime *kernel.Proc, exe *cap.Capability, args []Arg, opts Options) (
 		}
 		err = fmt.Errorf("sandbox: execution interrupted: %w", errno.EINTR)
 	}
-	opts.Prof.Add(prof.SandboxExec, time.Since(execStart))
+	runtime.Kernel().Prof.Add(prof.SandboxExec, time.Since(execStart))
 	opts.Trace.Add(trace.Span{
 		Parent: opts.TraceParent, Kind: trace.KindSandboxExec,
 		Name: "sandbox-exec", Detail: exePath,

@@ -212,10 +212,10 @@ func TestWorkDirAndUlimits(t *testing.T) {
 
 func TestProfRecordsSetupAndExec(t *testing.T) {
 	k, p := world(t)
-	collector := prof.New()
+	collector := k.Prof
 	reader := exeCap(k, p, "/bin/reader")
 	in := cap.NewFile(p, k.FS.MustResolve("/data/in.txt"), stdlib.ReadOnlyFileGrant)
-	if _, err := Exec(p, reader, []Arg{CapArg(in)}, Options{Prof: collector}); err != nil {
+	if _, err := Exec(p, reader, []Arg{CapArg(in)}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if collector.Count(prof.SandboxSetup) != 1 || collector.Count(prof.SandboxExec) != 1 {

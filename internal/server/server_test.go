@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/lang"
 	"repro/internal/priv"
 	"repro/shill"
 )
@@ -135,6 +136,29 @@ func TestRunScriptNameWithArgs(t *testing.T) {
 	want := "one\ntwo \"quoted\"\ntab\there\n"
 	if rr == nil || rr.Console != want {
 		t.Fatalf("args did not round-trip through the splice: %+v", rr)
+	}
+}
+
+func TestDistinctArgsKeepCompileCacheBounded(t *testing.T) {
+	// Args are spliced into the source text, so every distinct arg
+	// vector is a new compiled program; a resident tenant's cache must
+	// still stay within its limit.
+	s, ts := newTestServer(t, nil)
+	const requests = lang.CompileCacheLimit + 64
+	for i := 0; i < requests; i++ {
+		arg := fmt.Sprint(i)
+		_, rr := postRun(t, ts.URL, RunRequest{Tenant: "alice", Script: echoArgsAmbient, Args: []string{arg}})
+		if rr == nil || rr.Console != arg+"\n" {
+			t.Fatalf("request %d: %+v", i, rr)
+		}
+	}
+	st := s.lookupTenant("alice").m.Stats()
+	if st.CompileCacheMisses < requests {
+		t.Fatalf("%d distinct sources compiled only %d times", requests, st.CompileCacheMisses)
+	}
+	if st.CompileCacheEntries > lang.CompileCacheLimit {
+		t.Fatalf("compile cache holds %d programs after %d distinct requests, limit %d",
+			st.CompileCacheEntries, requests, lang.CompileCacheLimit)
 	}
 }
 

@@ -12,23 +12,27 @@
 // hand its spans back without scanning the ring. Spans are recorded at
 // completion only; the ring never holds half-open spans.
 //
-// Three granularities coexist:
+// Two granularities coexist:
 //
 //   - Pipeline spans (request, queue, acquire, resolve, run, compile,
-//     eval) are individually timed regions opened with Ref.Start and
-//     closed with Active.End.
-//   - Figure 10 categories (startup, sandbox-setup, sandbox-exec,
-//     contract-check, audit-emit) are absorbed from internal/prof via
-//     Ref.AddProfSamples; ProfView inverts the mapping, making prof a
-//     view over the trace rather than a second measurement.
-//   - Kernel ops (op-vfs, op-net, op-policy) are far too frequent to
-//     record individually; OpStats counts every operation and times a
-//     1-in-64 sample (scaled), and a run emits one aggregated span per
-//     category from its snapshot delta.
+//     eval, and each sandbox's setup and exec) are individually timed
+//     regions opened with Ref.Start and closed with Active.End, or
+//     recorded pre-measured with Ref.Add.
+//   - Aggregated spans carry a Count: one per non-empty category of the
+//     machine's profile collector (internal/prof), covering the Figure
+//     10 rows (startup, sandbox-setup, sandbox-exec, contract-check,
+//     audit-emit) and kernel ops (op-vfs, op-net, op-policy), which are
+//     far too frequent to record one span each; the collector counts
+//     every operation and times a 1-in-64 sample (scaled). Session.Run
+//     builds them from one snapshot delta, the same delta that becomes
+//     Result.Prof, and records them with its run span through
+//     Active.Finish. Those closing spans bypass the per-trace buffer
+//     cap, and the run span's Detail reports any spans the cap refused
+//     ("dropped=N").
 //
 // # Attribution caveat
 //
-// OpStats and prof are machine-wide: a run's aggregated spans are
+// The profile collector is machine-wide: a run's aggregated spans are
 // snapshot deltas over shared counters, so concurrent sessions on one
 // machine bleed into each other's windows. Per-run pipeline spans are
 // exact; aggregated spans are attribution, not accounting.
@@ -43,7 +47,7 @@
 // position of the deny within its span tree shows when in the request
 // the denial landed.
 //
-// Every method on Recorder, Ref, Active, and OpStats is nil-safe: a
+// Every method on Recorder, Ref, and Active is nil-safe: a
 // disabled configuration threads nils through the same call sites and
 // pays one nil check per operation.
 package trace

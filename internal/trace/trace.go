@@ -2,18 +2,18 @@ package trace
 
 import (
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/prof"
 )
 
 // Kind identifies what a span measures. The first block is the serving
-// pipeline (request admission through evaluation); the second block
-// absorbs the Figure 10 categories of internal/prof, so the profiler's
-// breakdown is reconstructible from a trace (ProfView); the third block
-// is the aggregated kernel-op categories of OpStats.
+// pipeline (request admission through evaluation); the second block is
+// the Figure 10 categories of internal/prof; the third block is its
+// kernel-op categories. Kinds of the last two blocks also name the
+// aggregated spans a run emits from its profile delta.
 type Kind uint8
 
 // Span kinds.
@@ -30,9 +30,9 @@ const (
 	KindSandboxExec               // prof.SandboxExec
 	KindContractCheck             // prof.ContractCheck
 	KindAuditEmit                 // prof.AuditEmit
-	KindOpVFS                     // aggregated vfs operations (OpStats)
-	KindOpNet                     // aggregated netstack operations (OpStats)
-	KindOpPolicy                  // aggregated MAC policy checks (OpStats)
+	KindOpVFS                     // prof.VFS: aggregated vfs operations
+	KindOpNet                     // prof.Net: aggregated netstack operations
+	KindOpPolicy                  // prof.Policy: aggregated MAC policy checks
 	numKinds
 )
 
@@ -94,7 +94,8 @@ const DefaultRingSize = 8192
 
 // maxTraceSpans bounds the per-trace span buffer, the same
 // bounded-memory discipline as audit's per-session shards: a runaway
-// trace overwrites nothing and allocates no further.
+// trace overwrites nothing and allocates no further. Only the closing
+// spans of Active.Finish (a bounded handful per run) go past it.
 const maxTraceSpans = 128
 
 // Recorder is a lock-free, ring-buffered span store, built like
@@ -251,9 +252,9 @@ func (t *Ref) Start(parent uint64, kind Kind, name string) *Active {
 	}
 }
 
-// Add records a pre-measured span (aggregated kernel ops, prof
-// categories): the trace ID and an ID are filled in, Start/Dur/Count
-// are the caller's.
+// Add records a pre-measured span (a sandbox's setup or execution):
+// the trace ID and an ID are filled in, Start/Dur/Count are the
+// caller's.
 func (t *Ref) Add(s Span) {
 	if t == nil {
 		return
@@ -262,13 +263,15 @@ func (t *Ref) Add(s Span) {
 	if s.ID == 0 {
 		s.ID = t.rec.ids.Add(1)
 	}
-	t.record(s)
+	t.record(s, false)
 }
 
-func (t *Ref) record(s Span) {
+// record emits s into the ring and keeps a copy in the trace's buffer;
+// a full buffer refuses the copy unless the span is closing.
+func (t *Ref) record(s Span, closing bool) {
 	t.rec.emit(&s)
 	t.mu.Lock()
-	if len(t.spans) < maxTraceSpans {
+	if closing || len(t.spans) < maxTraceSpans {
 		t.spans = append(t.spans, s)
 	} else {
 		t.dropped++
@@ -328,72 +331,29 @@ func (a *Active) End() time.Duration {
 		return 0
 	}
 	a.span.Dur = time.Since(a.span.Start)
-	a.ref.record(a.span)
+	a.ref.record(a.span, false)
 	return a.span.Dur
 }
 
-// --- prof interop: the Figure 10 categories as span kinds ---
-
-var profKinds = map[prof.Category]Kind{
-	prof.Startup:       KindStartup,
-	prof.SandboxSetup:  KindSandboxSetup,
-	prof.SandboxExec:   KindSandboxExec,
-	prof.ContractCheck: KindContractCheck,
-	prof.AuditEmit:     KindAuditEmit,
-}
-
-// KindForProf maps a prof category to its span kind.
-func KindForProf(c prof.Category) (Kind, bool) {
-	k, ok := profKinds[c]
-	return k, ok
-}
-
-// AddProfSamples records one aggregated span per non-empty prof sample
-// under the given parent — this is how a run's Figure 10 breakdown
-// becomes part of its trace.
-func (t *Ref) AddProfSamples(parent uint64, start time.Time, samples []prof.Sample) {
-	if t == nil {
-		return
+// Finish closes a run's span together with its aggregated children,
+// which the caller bounds to one per profile category. These closing
+// spans summarize everything else in the run, so they bypass the
+// per-trace cap instead of being the ones a full buffer loses; when the
+// cap refused earlier spans, the span's Detail says how many
+// ("dropped=N").
+func (a *Active) Finish(children []Span) time.Duration {
+	if a == nil {
+		return 0
 	}
-	for _, s := range samples {
-		if s.Count == 0 && s.Total == 0 {
-			continue
-		}
-		k, ok := profKinds[s.Category]
-		if !ok {
-			continue
-		}
-		t.Add(Span{Parent: parent, Kind: k, Name: k.String(), Start: start, Dur: s.Total, Count: s.Count})
+	t := a.ref
+	for _, c := range children {
+		c.Trace, c.ID, c.Parent = t.id, t.rec.ids.Add(1), a.span.ID
+		t.record(c, true)
 	}
-}
-
-// ProfView reconstructs the prof breakdown from a trace's spans: prof
-// is a view over the trace, not a second measurement. Spans of
-// non-prof kinds are ignored; multiple spans of one category sum.
-func ProfView(spans []Span) []prof.Sample {
-	var totals [5]prof.Sample
-	cats := [...]prof.Category{prof.Startup, prof.SandboxSetup, prof.SandboxExec, prof.ContractCheck, prof.AuditEmit}
-	for i, c := range cats {
-		totals[i].Category = c
+	if n := t.Dropped(); n > 0 {
+		a.span.Detail = strings.TrimSpace(a.span.Detail + " dropped=" + strconv.Itoa(n))
 	}
-	any := false
-	for _, s := range spans {
-		for i, c := range cats {
-			if k := profKinds[c]; k == s.Kind {
-				totals[i].Total += s.Dur
-				totals[i].Count += s.Count
-				any = true
-			}
-		}
-	}
-	if !any {
-		return nil
-	}
-	out := make([]prof.Sample, 0, len(totals))
-	for _, s := range totals {
-		if s.Count != 0 || s.Total != 0 {
-			out = append(out, s)
-		}
-	}
-	return out
+	a.span.Dur = time.Since(a.span.Start)
+	t.record(a.span, true)
+	return a.span.Dur
 }

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/prof"
 )
 
 func TestSpanLifecycle(t *testing.T) {
@@ -92,6 +90,22 @@ func TestPerTraceBufferBounded(t *testing.T) {
 	if tr.Dropped() != 10 {
 		t.Fatalf("dropped = %d, want 10", tr.Dropped())
 	}
+
+	// A run's closing spans go past the cap, and the run span reports
+	// what the cap cost.
+	run := tr.Start(0, KindRun, "run")
+	run.Finish([]Span{{Kind: KindOpVFS, Count: 3}})
+	spans := tr.Spans()
+	if len(spans) != maxTraceSpans+2 {
+		t.Fatalf("closing spans not kept: %d spans, want %d", len(spans), maxTraceSpans+2)
+	}
+	agg, last := spans[len(spans)-2], spans[len(spans)-1]
+	if agg.Kind != KindOpVFS || agg.Count != 3 || agg.Parent != run.ID() || agg.Trace != tr.TraceID() {
+		t.Fatalf("aggregate span = %+v", agg)
+	}
+	if last.Kind != KindRun || last.Detail != "dropped=10" {
+		t.Fatalf("run span = %+v, want detail dropped=10", last)
+	}
 }
 
 func TestConcurrentEmission(t *testing.T) {
@@ -138,74 +152,16 @@ func TestNilSafety(t *testing.T) {
 	a := tr.Start(0, KindRun, "run")
 	a.SetDetail("x")
 	a.End()
+	a.Finish([]Span{{Kind: KindOpVFS, Count: 1}})
 	tr.Add(Span{})
-	tr.AddProfSamples(0, time.Now(), []prof.Sample{{Category: prof.Startup, Total: 1, Count: 1}})
-	tr.AddOps(0, time.Now(), OpSnapshot{})
 	if tr.Spans() != nil || tr.TraceID() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil ref state not empty")
-	}
-
-	var o *OpStats
-	o.End(OpVFS, o.Begin(OpVFS))
-	if o.Snapshot() != (OpSnapshot{}) {
-		t.Fatal("nil OpStats snapshot not zero")
 	}
 
 	disabled := NewRecorder(8)
 	disabled.SetEnabled(false)
 	if disabled.NewTrace() != nil {
 		t.Fatal("disabled recorder minted a trace")
-	}
-}
-
-func TestOpStats(t *testing.T) {
-	o := NewOpStats()
-	before := o.Snapshot()
-	for i := 0; i < 2*opTimingSample; i++ {
-		ts := o.Begin(OpVFS)
-		o.End(OpVFS, ts)
-	}
-	o.End(OpNet, o.Begin(OpNet))
-	delta := o.Snapshot().Delta(before)
-	if delta[OpVFS].Count != 2*opTimingSample {
-		t.Fatalf("vfs count = %d, want %d", delta[OpVFS].Count, 2*opTimingSample)
-	}
-	if delta[OpNet].Count != 1 || delta[OpPolicy].Count != 0 {
-		t.Fatalf("net/policy counts = %d/%d", delta[OpNet].Count, delta[OpPolicy].Count)
-	}
-
-	tr := NewRecorder(16).NewTrace()
-	tr.AddOps(7, time.Now(), delta)
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("AddOps emitted %d spans, want 2 (vfs, net)", len(spans))
-	}
-	if spans[0].Kind != KindOpVFS || spans[0].Count != 2*opTimingSample || spans[0].Parent != 7 {
-		t.Fatalf("vfs span = %+v", spans[0])
-	}
-}
-
-func TestProfRoundTrip(t *testing.T) {
-	samples := []prof.Sample{
-		{Category: prof.Startup, Total: 3 * time.Millisecond, Count: 1},
-		{Category: prof.SandboxExec, Total: 9 * time.Millisecond, Count: 4},
-		{Category: prof.AuditEmit, Total: 0, Count: 0}, // empty: elided
-	}
-	tr := NewRecorder(16).NewTrace()
-	tr.AddProfSamples(3, time.Now(), samples)
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("emitted %d prof spans, want 2", len(spans))
-	}
-	view := ProfView(spans)
-	if len(view) != 2 {
-		t.Fatalf("ProfView returned %d samples, want 2", len(view))
-	}
-	if view[0].Category != prof.Startup || view[0].Total != 3*time.Millisecond || view[0].Count != 1 {
-		t.Fatalf("startup sample = %+v", view[0])
-	}
-	if view[1].Category != prof.SandboxExec || view[1].Total != 9*time.Millisecond || view[1].Count != 4 {
-		t.Fatalf("sandbox-exec sample = %+v", view[1])
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/errno"
-	"repro/internal/trace"
+	"repro/internal/prof"
 )
 
 // FS is an in-memory filesystem: a tree of vnodes under a single root.
@@ -19,10 +19,10 @@ type FS struct {
 	root    *Vnode
 	nextIno uint64
 
-	// ops, when set, aggregates per-operation counts and sampled timings
-	// under trace.OpVFS for the request-tracing layer. Nil (the default)
-	// costs one nil check per operation.
-	ops *trace.OpStats
+	// prof, when set, counts every operation and times a sample of them
+	// under prof.VFS. Nil (the default) costs one nil check per
+	// operation.
+	prof *prof.Collector
 
 	// clock lets deterministic tests pin timestamps; defaults to
 	// time.Now.
@@ -65,10 +65,10 @@ func New() *FS {
 // SetClock replaces the timestamp source (tests only).
 func (fs *FS) SetClock(fn func() time.Time) { fs.clock.Store(fn) }
 
-// SetOpStats attaches aggregated-op accounting (trace.OpVFS). Set it
+// SetProf attaches the machine's profile collector (prof.VFS). Set it
 // before the filesystem is shared across goroutines; the kernel wires
 // it at construction.
-func (fs *FS) SetOpStats(o *trace.OpStats) { fs.ops = o }
+func (fs *FS) SetProf(c *prof.Collector) { fs.prof = c }
 
 func (fs *FS) now() time.Time { return fs.clock.Load().(func() time.Time)() }
 
@@ -120,7 +120,7 @@ func validCreateName(name string) error {
 // itself; ".." returns the parent (the root's parent is the root). The
 // caller is responsible for MAC checks and symlink policy.
 func (fs *FS) Lookup(dir *Vnode, name string) (*Vnode, error) {
-	defer fs.ops.End(trace.OpVFS, fs.ops.Begin(trace.OpVFS))
+	defer fs.prof.End(prof.VFS, fs.prof.Begin(prof.VFS))
 	if !dir.IsDir() {
 		return nil, errno.ENOTDIR
 	}
@@ -190,7 +190,7 @@ func (fs *FS) Mkdev(dir *Vnode, name string, mode uint16, uid, gid int, ops Devi
 }
 
 func (fs *FS) createNode(dir *Vnode, name string, typ VnodeType, mode uint16, uid, gid int, target string) (*Vnode, error) {
-	defer fs.ops.End(trace.OpVFS, fs.ops.Begin(trace.OpVFS))
+	defer fs.prof.End(prof.VFS, fs.prof.Begin(prof.VFS))
 	if !dir.IsDir() {
 		return nil, errno.ENOTDIR
 	}
@@ -230,7 +230,7 @@ func (fs *FS) createNode(dir *Vnode, name string, typ VnodeType, mode uint16, ui
 // Link installs a new hard link to file under dir/name. Directories
 // cannot be hard-linked.
 func (fs *FS) Link(dir *Vnode, name string, file *Vnode) error {
-	defer fs.ops.End(trace.OpVFS, fs.ops.Begin(trace.OpVFS))
+	defer fs.prof.End(prof.VFS, fs.prof.Begin(prof.VFS))
 	if !dir.IsDir() {
 		return errno.ENOTDIR
 	}
@@ -276,7 +276,7 @@ func (fs *FS) Link(dir *Vnode, name string, file *Vnode) error {
 // be empty; rmdir must be true for directories and false for files,
 // matching unlinkat(2)'s AT_REMOVEDIR flag split.
 func (fs *FS) Unlink(dir *Vnode, name string, rmdir bool) error {
-	defer fs.ops.End(trace.OpVFS, fs.ops.Begin(trace.OpVFS))
+	defer fs.prof.End(prof.VFS, fs.prof.Begin(prof.VFS))
 	if !dir.IsDir() {
 		return errno.ENOTDIR
 	}
@@ -320,7 +320,7 @@ func (fs *FS) Unlink(dir *Vnode, name string, rmdir bool) error {
 // implementing the TOCTOU-free funlinkat(2) the SHILL kernel module adds
 // (§3.1.3).
 func (fs *FS) UnlinkIfSame(dir *Vnode, name string, file *Vnode) error {
-	defer fs.ops.End(trace.OpVFS, fs.ops.Begin(trace.OpVFS))
+	defer fs.prof.End(prof.VFS, fs.prof.Begin(prof.VFS))
 	if !dir.IsDir() {
 		return errno.ENOTDIR
 	}
@@ -355,7 +355,7 @@ func (fs *FS) UnlinkIfSame(dir *Vnode, name string, file *Vnode) error {
 // Rename moves srcDir/srcName to dstDir/dstName, replacing a compatible
 // existing target as rename(2) does.
 func (fs *FS) Rename(srcDir *Vnode, srcName string, dstDir *Vnode, dstName string) error {
-	defer fs.ops.End(trace.OpVFS, fs.ops.Begin(trace.OpVFS))
+	defer fs.prof.End(prof.VFS, fs.prof.Begin(prof.VFS))
 	if !srcDir.IsDir() || !dstDir.IsDir() {
 		return errno.ENOTDIR
 	}
@@ -428,7 +428,7 @@ func (fs *FS) Rename(srcDir *Vnode, srcName string, dstDir *Vnode, dstName strin
 
 // ReadDir returns the sorted entry names of dir (excluding "." and "..").
 func (fs *FS) ReadDir(dir *Vnode) ([]string, error) {
-	defer fs.ops.End(trace.OpVFS, fs.ops.Begin(trace.OpVFS))
+	defer fs.prof.End(prof.VFS, fs.prof.Begin(prof.VFS))
 	if !dir.IsDir() {
 		return nil, errno.ENOTDIR
 	}
@@ -447,7 +447,7 @@ func (fs *FS) ReadDir(dir *Vnode) ([]string, error) {
 // cache, or "" and false if v is no longer reachable. It backs the
 // path(2) syscall the SHILL module adds (§3.1.3).
 func (fs *FS) PathOf(v *Vnode) (string, bool) {
-	defer fs.ops.End(trace.OpVFS, fs.ops.Begin(trace.OpVFS))
+	defer fs.prof.End(prof.VFS, fs.prof.Begin(prof.VFS))
 	return fs.pathOf(v)
 }
 

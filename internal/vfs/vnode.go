@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/errno"
 	"repro/internal/mac"
-	"repro/internal/trace"
+	"repro/internal/prof"
 )
 
 // VnodeType distinguishes the kinds of filesystem objects.
@@ -209,7 +209,7 @@ func (v *Vnode) ensureOwnedLocked() {
 // Reading at or past EOF returns 0 bytes and no error (the kernel layer
 // translates that to EOF as read(2) does).
 func (v *Vnode) ReadAt(p []byte, off int64) (int, error) {
-	defer v.fs.ops.End(trace.OpVFS, v.fs.ops.Begin(trace.OpVFS))
+	defer v.fs.prof.End(prof.VFS, v.fs.prof.Begin(prof.VFS))
 	if v.typ == TypeDir {
 		return 0, errno.EISDIR
 	}
@@ -228,7 +228,7 @@ func (v *Vnode) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt writes p at offset off, growing the file as needed.
 func (v *Vnode) WriteAt(p []byte, off int64) (int, error) {
-	defer v.fs.ops.End(trace.OpVFS, v.fs.ops.Begin(trace.OpVFS))
+	defer v.fs.prof.End(prof.VFS, v.fs.prof.Begin(prof.VFS))
 	if v.typ == TypeDir {
 		return 0, errno.EISDIR
 	}
@@ -255,7 +255,7 @@ func (v *Vnode) WriteAt(p []byte, off int64) (int, error) {
 // at, providing the atomic O_APPEND behaviour SHILL's append builtin and
 // grade-log isolation rely on.
 func (v *Vnode) Append(p []byte) (int64, error) {
-	defer v.fs.ops.End(trace.OpVFS, v.fs.ops.Begin(trace.OpVFS))
+	defer v.fs.prof.End(prof.VFS, v.fs.prof.Begin(prof.VFS))
 	if v.typ == TypeDir {
 		return 0, errno.EISDIR
 	}

@@ -91,6 +91,39 @@ func TestGradingShillVersion(t *testing.T) {
 	}
 }
 
+// TestGradingTraceKeepsClosingSpans: a course large enough to overflow
+// the per-trace span buffer (82 sandboxes, two spans each) must still
+// return the run span and the aggregated spans, and the run span must
+// say how many spans the buffer refused.
+func TestGradingTraceKeepsClosingSpans(t *testing.T) {
+	m := newTestMachine(t)
+	m.BuildGradingCourse(GradingWorkload{Students: 12, Tests: 4, Malicious: true})
+	m.Prof().Reset()
+	res, err := m.DefaultSession().Run(bg, Script{Name: "grade.ambient", Source: ScriptGradeAmbientShill})
+	if err != nil {
+		t.Fatalf("SHILL grading: %v", err)
+	}
+	var runs []Span
+	var setup *Span
+	for i, sp := range res.Trace {
+		switch {
+		case sp.Kind == SpanRun:
+			runs = append(runs, sp)
+		case sp.Kind == SpanSandboxSetup && sp.Count != 0:
+			setup = &res.Trace[i]
+		}
+	}
+	if len(runs) != 1 {
+		t.Fatalf("trace of %d spans holds %d run spans, want 1", len(res.Trace), len(runs))
+	}
+	if !strings.Contains(runs[0].Detail, "dropped=") {
+		t.Errorf("run span detail %q does not report the dropped spans", runs[0].Detail)
+	}
+	if setup == nil || setup.Count != m.SandboxCount() {
+		t.Fatalf("sandbox-setup aggregate = %+v, want count %d", setup, m.SandboxCount())
+	}
+}
+
 // --- Emacs package management ---
 
 func TestEmacsStepsSandboxed(t *testing.T) {

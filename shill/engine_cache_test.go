@@ -41,7 +41,7 @@ func TestCompileCacheContentHash(t *testing.T) {
 }
 
 func TestTreeWalkLeavesCompileCacheCold(t *testing.T) {
-	m := newTestMachine(t) // default engine: tree-walk
+	m := newTestMachine(t, WithEngine(EngineTreeWalk))
 	m.AddScript("hello.ambient", cacheHello)
 	s := m.NewSession()
 	defer s.Close()
@@ -55,7 +55,7 @@ func TestTreeWalkLeavesCompileCacheCold(t *testing.T) {
 
 func TestCompileCacheConcurrentWarmup(t *testing.T) {
 	// 16 sessions race to warm the same script. Racing first compiles
-	// may each miss (the cache trades duplicate work for lock-freedom),
+	// may each miss (compiles run outside the cache's lock),
 	// but every run must succeed with the right output, and once warm
 	// the miss count stays fixed.
 	m := newTestMachine(t, WithEngine(EngineCompiled))

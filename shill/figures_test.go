@@ -291,4 +291,28 @@ func TestSandboxCountsForJpeginfo(t *testing.T) {
 	if perRun != 2 {
 		t.Fatalf("per-run sandbox count = %d, want 2", perRun)
 	}
+	// Both sandboxes, ldd's included, appear as individual spans.
+	var execSpans int
+	for _, sp := range res.Trace {
+		if sp.Kind == SpanSandboxExec && sp.Count == 0 {
+			execSpans++
+		}
+	}
+	if execSpans != 2 {
+		t.Fatalf("individual sandbox-exec spans = %d, want 2", execSpans)
+	}
+	// One profile delta feeds both the samples and the aggregated spans:
+	// every category's aggregate, the vfs/net/policy rows included,
+	// matches its sample exactly.
+	for _, smp := range res.Prof {
+		var agg *Span
+		for i, sp := range res.Trace {
+			if sp.Kind == profSpanKinds[smp.Category] && sp.Count != 0 {
+				agg = &res.Trace[i]
+			}
+		}
+		if agg == nil || agg.Count != smp.Count || agg.Dur != smp.Total {
+			t.Fatalf("%v: aggregated span %+v does not match sample %+v", smp.Category, agg, smp)
+		}
+	}
 }

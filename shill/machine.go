@@ -49,9 +49,6 @@ const (
 	EngineCompiled = lang.EngineCompiled
 )
 
-// ParseEngine parses an -engine flag value ("tree-walk" or "compiled").
-func ParseEngine(s string) (Engine, error) { return lang.ParseEngine(s) }
-
 // ErrMachineClosed is returned by Session.Run and Session.RunCommand
 // after Machine.Close: a closed machine's kernel workers and network
 // stack are torn down, so running scripts against it would yield
@@ -137,10 +134,11 @@ func WithScriptResolver(r ScriptResolver) Option {
 }
 
 // WithEngine selects the execution engine for every session of the
-// machine. The default is EngineTreeWalk; EngineCompiled runs scripts
-// through the compiled path and shares one content-hash-keyed compile
+// machine. The default is EngineCompiled, which runs scripts through
+// the compiled path and shares one bounded, content-hash-keyed compile
 // cache across all sessions, so a script submitted repeatedly (shilld's
-// per-request scripts) compiles once.
+// per-request scripts) compiles once. EngineTreeWalk is the reference
+// the engine-diff suites compare against.
 func WithEngine(e Engine) Option {
 	return func(c *config) { c.engine = e }
 }
@@ -173,7 +171,7 @@ type Machine struct {
 // loads the built-in case-study scripts, and stages the requested
 // workload.
 func NewMachine(opts ...Option) (*Machine, error) {
-	cfg := config{module: true, workload: WorkloadNone}
+	cfg := config{module: true, workload: WorkloadNone, engine: EngineCompiled}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -280,7 +278,7 @@ func (m *Machine) Tracer() *trace.Recorder { return m.tracer }
 // Prof returns the machine-wide profile collector (the Figure 10
 // accumulation across runs; each Result additionally carries the
 // samples of its own run).
-func (m *Machine) Prof() *prof.Collector { return m.sys.Prof }
+func (m *Machine) Prof() *prof.Collector { return m.sys.K.Prof }
 
 // FlushAuditProf attributes the audit subsystem's accumulated emission
 // time to the profile's AuditEmit category (call before Prof().Report).
@@ -288,7 +286,7 @@ func (m *Machine) FlushAuditProf() { m.sys.FlushAuditProf() }
 
 // SandboxCount reports how many sandboxes the machine has created — the
 // statistic the paper reports per benchmark (Grading 5,371, …).
-func (m *Machine) SandboxCount() int64 { return m.sys.Prof.Count(prof.SandboxSetup) }
+func (m *Machine) SandboxCount() int64 { return m.sys.K.Prof.Count(prof.SandboxSetup) }
 
 // AuditLog exposes the machine's audit log for provenance queries
 // (lineage, trace, summaries). Per-run denials are already on Result.

@@ -182,7 +182,6 @@ func (m *Machine) ExecSandboxed(ctx context.Context, cmd SandboxCommand) (*Sandb
 	opts := sandbox.Options{
 		Debug:   cmd.Debug,
 		Logging: true,
-		Prof:    m.sys.Prof,
 		Stdout:  consoleCap(),
 		Stderr:  consoleCap(),
 		Stdin:   consoleCap(),

@@ -213,7 +213,7 @@ func (s *Session) Run(ctx context.Context, script Script) (*Result, error) {
 	}
 
 	begin := s.beginRun(ctx, name)
-	it := lang.NewInterp(s.proc, resolver, s.m.sys.Prof)
+	it := lang.NewInterp(s.proc, resolver)
 	it.ConsolePath = s.consolePath
 	it.SetEngine(s.m.engine)
 	it.CompileCache = s.m.compileCache
@@ -308,7 +308,7 @@ func (s *Session) spawnWait(vn *vfs.Vnode, argv []string, attr kernel.SpawnAttr)
 // runBegin snapshots the state a Result's windows are computed from.
 type runBegin struct {
 	seq   uint64
-	prof  []prof.Sample
+	prof  prof.Snapshot
 	start time.Time
 
 	// tr is the run's trace: adopted from the context (shilld threads
@@ -317,14 +317,13 @@ type runBegin struct {
 	// below is nil-safe.
 	tr      *trace.Ref
 	runSpan *trace.Active
-	ops     trace.OpSnapshot
 }
 
 func (s *Session) beginRun(ctx context.Context, name string) runBegin {
 	s.console.ResetOutput()
 	b := runBegin{
 		seq:   s.m.sys.Audit().Seq(),
-		prof:  s.m.sys.Prof.Samples(),
+		prof:  s.m.sys.K.Prof.Snapshot(),
 		start: time.Now(),
 	}
 	if tc := trace.FromContext(ctx); tc != nil {
@@ -337,7 +336,6 @@ func (s *Session) beginRun(ctx context.Context, name string) runBegin {
 	// Tag the session process (and whatever it forks) with the trace so
 	// kernel-side denials land in the audit log already linked to it.
 	s.proc.SetTraceID(b.tr.TraceID())
-	b.ops = s.m.kernel().Ops.Snapshot()
 	return b
 }
 
@@ -346,16 +344,25 @@ func (s *Session) finishRun(name string, begin runBegin, runErr error) *Result {
 		Script:  name,
 		Console: string(s.console.Output()),
 		Denials: s.m.sys.Audit().DenyReasonsSince(begin.seq),
-		Prof:    prof.SamplesSince(begin.prof, s.m.sys.Prof.Samples()),
 		Elapsed: time.Since(begin.start),
 	}
 	s.console.ResetOutput()
-	// Close out the trace: aggregated kernel-op spans and the Figure 10
-	// profile view land as children of the run span, then the span tree
-	// (bounded) rides the Result the way Denials do.
-	begin.tr.AddOps(begin.runSpan.ID(), begin.start, s.m.kernel().Ops.Snapshot().Delta(begin.ops))
-	begin.tr.AddProfSamples(begin.runSpan.ID(), begin.start, res.Prof)
-	begin.runSpan.End()
+	// One profile delta feeds both the Result's samples and the run's
+	// aggregated spans (children of the run span, one per non-empty
+	// category); then the span tree (bounded) rides the Result the way
+	// Denials do.
+	var aggs [prof.NumCategories]trace.Span
+	n := 0
+	for _, smp := range s.m.sys.K.Prof.Snapshot().Delta(begin.prof) {
+		if smp.Count == 0 && smp.Total == 0 {
+			continue
+		}
+		res.Prof = append(res.Prof, smp)
+		k := profSpanKinds[smp.Category]
+		aggs[n] = trace.Span{Kind: k, Name: k.String(), Start: begin.start, Dur: smp.Total, Count: smp.Count}
+		n++
+	}
+	begin.runSpan.Finish(aggs[:n])
 	s.proc.SetTraceID(0)
 	res.TraceID = begin.tr.TraceID()
 	res.Trace = begin.tr.Spans()

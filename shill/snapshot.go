@@ -61,6 +61,7 @@ func restoreConfig(img *Image) config {
 		spawnLatency:  time.Duration(mc.SpawnLatencyNs),
 		auditDisabled: mc.AuditDisabled,
 		workload:      Workload(mc.Workload),
+		engine:        EngineCompiled,
 	}
 }
 

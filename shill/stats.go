@@ -32,6 +32,9 @@ type MachineStats struct {
 	// lookups (compiled engine only; both zero under tree-walk).
 	CompileCacheHits   uint64 `json:"compileCacheHits"`
 	CompileCacheMisses uint64 `json:"compileCacheMisses"`
+	// CompileCacheEntries is how many compiled programs the cache
+	// holds (at most lang.CompileCacheLimit).
+	CompileCacheEntries int `json:"compileCacheEntries"`
 	// ImageCacheHits/ImageCacheMisses report whether booting this
 	// machine reused an already-flattened base image (hit) or had to
 	// flatten it (miss); both zero for machines built from scratch.
@@ -54,12 +57,13 @@ func (m *Machine) Stats() MachineStats {
 		LiveSockets:    m.sys.K.Net.LiveSockets(),
 		Listeners:      len(m.sys.K.Net.Listeners()),
 		AuditSeq:       m.sys.Audit().Seq(),
-		Sandboxes:      m.sys.Prof.Count(prof.SandboxSetup),
+		Sandboxes:      m.sys.K.Prof.Count(prof.SandboxSetup),
 
-		CompileCacheHits:   compileHits,
-		CompileCacheMisses: compileMisses,
-		ImageCacheHits:     m.imageHits.Load(),
-		ImageCacheMisses:   m.imageMisses.Load(),
+		CompileCacheHits:    compileHits,
+		CompileCacheMisses:  compileMisses,
+		CompileCacheEntries: m.compileCache.Len(),
+		ImageCacheHits:      m.imageHits.Load(),
+		ImageCacheMisses:    m.imageMisses.Load(),
 	}
 }
 

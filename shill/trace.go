@@ -26,6 +26,19 @@ type TraceRecorder = trace.Recorder
 // TraceRef is one live trace: the handle spans are recorded against.
 type TraceRef = trace.Ref
 
+// profSpanKinds maps each profile category to the kind of the
+// aggregated span a run emits for it.
+var profSpanKinds = [prof.NumCategories]trace.Kind{
+	prof.Startup:       trace.KindStartup,
+	prof.SandboxSetup:  trace.KindSandboxSetup,
+	prof.SandboxExec:   trace.KindSandboxExec,
+	prof.ContractCheck: trace.KindContractCheck,
+	prof.AuditEmit:     trace.KindAuditEmit,
+	prof.VFS:           trace.KindOpVFS,
+	prof.Net:           trace.KindOpNet,
+	prof.Policy:        trace.KindOpPolicy,
+}
+
 // Span kinds, re-exported for switch statements over Result.Trace.
 const (
 	SpanRequest       = trace.KindRequest
@@ -53,9 +66,3 @@ const (
 func NewTraceContext(ctx context.Context, ref *TraceRef, parent uint64) context.Context {
 	return trace.NewContext(ctx, &trace.Context{Ref: ref, Parent: parent})
 }
-
-// ProfFromTrace reconstructs the Figure 10 profile view from a span
-// tree: the prof categories are also span kinds, so the profile is a
-// projection of the trace. Returns nil when the spans carry no profile
-// categories.
-func ProfFromTrace(spans []Span) []prof.Sample { return trace.ProfView(spans) }
